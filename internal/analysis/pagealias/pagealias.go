@@ -33,7 +33,7 @@
 //     the stack, which is exactly the zero-copy design;
 //   - storing views into a struct that also carries the pins
 //     (a field of type *buffer.Buf or []*buffer.Buf): a pin-escorted
-//     holder like ivfflat's bucketScanScratch keeps the frames pinned
+//     holder like pase/ivf's Run keeps the frames pinned
 //     for as long as the views live, which is the invariant this
 //     analyzer exists to protect.
 //
@@ -715,7 +715,7 @@ func (c *checker) localValueRoot(expr ast.Expr) bool {
 // pinEscortedHolder reports whether base's struct type also declares a
 // *buffer.Buf (or []*buffer.Buf) field: such a holder carries the pins
 // alongside the views, so storing views into it preserves the lifetime
-// invariant (ivfflat's bucketScanScratch pattern).
+// invariant (pase/ivf's Run pattern).
 func (c *checker) pinEscortedHolder(base ast.Expr) bool {
 	tv, ok := c.pass.Info.Types[ast.Unparen(base)]
 	if !ok || tv.Type == nil {

@@ -150,7 +150,7 @@ func scalarOut(p *buffer.Pool, rel buffer.RelID) uint32 {
 }
 
 // escort carries the pin next to the views it covers: the
-// pin-escorted-holder rule (ivfflat's bucketScanScratch shape).
+// pin-escorted-holder rule (pase/ivf's Run shape).
 type escort struct {
 	pin  *buffer.Buf
 	data []byte

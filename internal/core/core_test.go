@@ -23,14 +23,39 @@ func TestDefaultsResolve(t *testing.T) {
 	}
 }
 
-func TestCompareBothIVFFlat(t *testing.T) {
+// timingRuns is how many CompareBoth runs the wall-clock shape checks
+// take the minimum over.
+const timingRuns = 5
+
+// compareMinOf runs CompareBoth n times and keeps, per engine, the
+// fastest adding phase and the fastest search pass. The wall-clock shape
+// checks compare those floors: one run slowed by a loaded host cannot
+// invert them, while a real regression raises every run's time.
+func compareMinOf(t *testing.T, kind IndexKind, n int) Comparison {
+	t.Helper()
 	ds := testutil.SmallDataset(t)
 	p := Defaults(ds)
 	p.K = 10
-	cmp, err := CompareBoth(IVFFlat, ds, p)
-	if err != nil {
-		t.Fatal(err)
+	var best Comparison
+	for i := 0; i < n; i++ {
+		cmp, err := CompareBoth(kind, ds, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			best = cmp
+			continue
+		}
+		best.Specialized.AddTime = min(best.Specialized.AddTime, cmp.Specialized.AddTime)
+		best.Generalized.AddTime = min(best.Generalized.AddTime, cmp.Generalized.AddTime)
+		best.SpecSearch.Total = min(best.SpecSearch.Total, cmp.SpecSearch.Total)
+		best.GenSearch.Total = min(best.GenSearch.Total, cmp.GenSearch.Total)
 	}
+	return best
+}
+
+func TestCompareBothIVFFlat(t *testing.T) {
+	cmp := compareMinOf(t, IVFFlat, timingRuns)
 	// Shape assertions from the paper. At this tiny test scale the
 	// K-means training sample covers most of the data, so total build
 	// time is training-dominated and regime-dependent; the scale-free
@@ -122,13 +147,7 @@ func TestRunSearchReportsRecall(t *testing.T) {
 }
 
 func TestIVFPQBothEngines(t *testing.T) {
-	ds := testutil.SmallDataset(t)
-	p := Defaults(ds)
-	p.K = 10
-	cmp, err := CompareBoth(IVFPQ, ds, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmp := compareMinOf(t, IVFPQ, timingRuns)
 	if cmp.SearchGapX() <= 1 {
 		t.Errorf("generalized IVF_PQ search should be slower (gap %.2fx)", cmp.SearchGapX())
 	}

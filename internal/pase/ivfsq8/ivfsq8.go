@@ -1,37 +1,29 @@
 // Package ivfsq8 implements a PASE-style IVF index with SQ8 scalar
-// quantization on the PostgreSQL substrate: the bucket layout of
-// ivfflat, but each data entry stores the vector as d uint8 codes on a
-// per-dimension [min, max] grid trained at build time, so data pages
-// hold roughly 4× more tuples per page. Search scores codes with the
-// kernel's asymmetric uint8-vs-float32 distance — plain scans in the
-// decomposed form (a uint8 dot product against stored code norms, one
-// page per kernel call), predicate and multi-query paths per item —
-// keeps k·β candidates (SET sq8_rerank), and re-ranks them against the
-// full-precision heap tuples before returning k — the classic SQ8 +
-// refinement recipe, here paying PostgreSQL's tuple re-fetch cost for
-// the refinement step.
+// quantization on the PostgreSQL substrate: the shared IVF skeleton
+// (internal/pase/ivf) with the SQ8 codec. Each data entry stores the
+// vector as d uint8 codes on a per-dimension [min, max] grid trained at
+// build time, so data pages hold roughly 4× more tuples per page. Search
+// scores codes with the kernel's asymmetric uint8-vs-float32 distance —
+// plain scans in the decomposed form (a uint8 dot product against stored
+// code norms, one page per kernel call), predicate paths per entry in
+// the direct form — keeps k·β candidates (SET sq8_rerank), and re-ranks
+// them against the full-precision heap tuples before returning k — the
+// classic SQ8 + refinement recipe, here paying PostgreSQL's tuple
+// re-fetch cost for the refinement step.
 //
-// On-page structure: a meta page (block 0), a chain of stats pages
-// persisting the trained per-dimension min/step arrays, centroid pages
-// identical to ivfflat's (full-precision centroids — probe selection is
-// not quantized), and per-bucket chains of code pages.
+// The trained per-dimension min/step arrays persist on a chain of stats
+// pages between the meta page and the centroid pages (full-precision
+// centroids — probe selection is not quantized).
 package ivfsq8
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"vecstudy/internal/kmeans"
 	"vecstudy/internal/pase"
+	"vecstudy/internal/pase/ivf"
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/pg/buffer"
-	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/pg/page"
 	"vecstudy/internal/vec"
 )
 
@@ -39,550 +31,148 @@ func init() {
 	am.Register("ivfsq8", Build)
 }
 
-// centroid entry layout: full-precision vector (dim·4) then bucket
-// bookkeeping, exactly as ivfflat.
-const centroidTrailerSize = 16 // firstBlk u32 | lastBlk u32 | count u32 | pad u32
-
-// data entry layout: packed TID (6) + pad (2), the entry's code norm
-// Σ(Step_i·c_i)² as a little-endian float32 (4), then the d code bytes.
-// The stored norm is the code-side term of the decomposed asymmetric
-// distance (vec.SQ8.DecomposeQuery): computing it once at encode time
-// lets plain scans score each candidate with a single uint8 dot product
-// instead of the full subtract-square form. It is derived purely from
-// the code and the trained grid with fixed scalar arithmetic
-// (vec.SQ8.CodeNorm), so it is kernel-independent like the rest of the
-// on-disk layout.
-const (
-	dataEntryHeaderSize = 8
-	dataEntryNormSize   = 4
-	dataEntryCodeOff    = dataEntryHeaderSize + dataEntryNormSize
-)
-
-// statsChunkSize bounds one stats item: the min/step arrays are split
-// into page-item-sized chunks so any dimensionality fits the page size.
-const statsChunkSize = 4096
-
-// meta is item 1 of block 0.
-type meta struct {
-	Dim              uint32
-	NList            uint32
-	FirstCentroidBlk uint32
-	CentroidsPerPage uint32
-	FirstStatsBlk    uint32
-}
-
-func encodeMeta(m meta) []byte {
-	b := make([]byte, 20)
-	binary.LittleEndian.PutUint32(b[0:], m.Dim)
-	binary.LittleEndian.PutUint32(b[4:], m.NList)
-	binary.LittleEndian.PutUint32(b[8:], m.FirstCentroidBlk)
-	binary.LittleEndian.PutUint32(b[12:], m.CentroidsPerPage)
-	binary.LittleEndian.PutUint32(b[16:], m.FirstStatsBlk)
-	return b
-}
-
-func decodeMeta(b []byte) meta {
-	return meta{
-		Dim:              binary.LittleEndian.Uint32(b[0:]),
-		NList:            binary.LittleEndian.Uint32(b[4:]),
-		FirstCentroidBlk: binary.LittleEndian.Uint32(b[8:]),
-		CentroidsPerPage: binary.LittleEndian.Uint32(b[12:]),
-		FirstStatsBlk:    binary.LittleEndian.Uint32(b[16:]),
-	}
+var method = &ivf.Method{
+	Name:      "ivfsq8",
+	NewCodec:  func(dim int) ivf.Codec { return &sq8Codec{dim: dim} },
+	Params:    ivf.ParamChainFirst,
+	DistTimer: "fvec_L2sqr",
+	Rerank:    "sq8_rerank",
 }
 
 // Index is a built IVF_SQ8 index.
-type Index struct {
-	ctx  *am.BuildContext
-	meta meta
-
-	// centroidCache holds the full-precision centroids read once at open
-	// (probe selection is never quantized); sq holds the trained grid,
-	// loaded from the stats pages.
-	centroidCache []float32
-	sq            *vec.SQ8
-
-	mu sync.Mutex // serializes inserts and deletes
-
-	dead atomic.Int64 // tombstoned entries awaiting Maintain
-
-	stats BuildStats
-}
-
-// BuildStats reports the construction phases.
-type BuildStats struct {
-	TrainTime time.Duration
-	AddTime   time.Duration
-	NAdded    int
-}
-
-// Stats returns the build phase timings.
-func (ix *Index) Stats() BuildStats { return ix.stats }
-
-// AM implements am.Index.
-func (ix *Index) AM() string { return "ivfsq8" }
-
-// NList returns the number of buckets.
-func (ix *Index) NList() int { return int(ix.meta.NList) }
-
-// Quantizer exposes the trained grid (tests verify persistence).
-func (ix *Index) Quantizer() *vec.SQ8 { return ix.sq }
+type Index struct{ *ivf.Index }
 
 // Build trains centroids and the SQ8 grid over the table's vectors and
 // bulk-loads every row as a code. Options: clusters (c), sample_ratio
 // (sr), seed — the same knobs as ivfflat.
 func Build(ctx *am.BuildContext) (am.Index, error) {
-	nlist, err := pase.OptInt(ctx.Opts, "clusters", 256)
+	ix, err := ivf.Build(ctx, method)
 	if err != nil {
 		return nil, err
 	}
-	sr, err := pase.OptFloat(ctx.Opts, "sample_ratio", 0.01)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := pase.OptInt(ctx.Opts, "seed", 0)
-	if err != nil {
-		return nil, err
-	}
-	if nlist <= 0 {
-		return nil, errors.New("pase/ivfsq8: clusters must be positive")
-	}
-
-	start := time.Now()
-	var tids []heap.TID
-	data := vec.NewFlat(ctx.Dim, 1024)
-	trainer := vec.NewSQ8Trainer(ctx.Dim)
-	err = ctx.Table.Scan(func(tid heap.TID, tup []byte) (bool, error) {
-		v, err := ctx.Table.Schema().VectorAt(tup, ctx.VecCol)
-		if err != nil {
-			return false, err
-		}
-		if len(v) != ctx.Dim {
-			return false, fmt.Errorf("pase/ivfsq8: row %v has dimension %d, index expects %d", tid, len(v), ctx.Dim)
-		}
-		tids = append(tids, tid)
-		data.Append(v)
-		trainer.Observe(v)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := data.N()
-	if n < nlist {
-		return nil, fmt.Errorf("pase/ivfsq8: %d rows cannot form %d clusters", n, nlist)
-	}
-
-	res, err := kmeans.Train(data.Data, n, ctx.Dim, kmeans.Config{
-		K:           nlist,
-		Seed:        int64(seed),
-		SampleRatio: sr,
-		UseGemm:     false,
-		Threads:     1,
-		Flavor:      kmeans.FlavorPASE,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sq := trainer.Finish()
-	trainTime := time.Since(start)
-
-	addStart := time.Now()
-	ix := &Index{ctx: ctx, sq: sq}
-	if err := ix.initPages(res.Centroids, nlist, sq); err != nil {
-		return nil, err
-	}
-
-	d := ctx.Dim
-	code := make([]byte, d)
-	for i := 0; i < n; i++ {
-		x := data.Data[i*d : (i+1)*d]
-		cid := ix.nearestCentroid(x)
-		sq.Encode(x, code)
-		if err := ix.appendEntry(cid, code, tids[i]); err != nil {
-			return nil, err
-		}
-	}
-	ix.stats = BuildStats{TrainTime: trainTime, AddTime: time.Since(addStart), NAdded: n}
-	return ix, nil
+	return &Index{ix}, nil
 }
 
-// Open re-binds an existing index relation, reloading the centroid cache
-// and the persisted SQ8 grid from the stats pages.
+// Open re-binds an existing index relation, reloading the centroids and
+// the persisted SQ8 grid from the stats pages.
 func Open(ctx *am.BuildContext) (am.Index, error) {
-	ix := &Index{ctx: ctx}
-	buf, err := ctx.Pool.Pin(ctx.Rel, 0)
+	ix, err := ivf.Open(ctx, method)
 	if err != nil {
 		return nil, err
 	}
-	item, err := buf.Page().Item(1)
-	if err != nil {
-		buf.Release()
-		return nil, fmt.Errorf("pase/ivfsq8: reading meta page: %w", err)
-	}
-	ix.meta = decodeMeta(item)
-	buf.Release()
-	if int(ix.meta.Dim) != ctx.Dim {
-		return nil, fmt.Errorf("pase/ivfsq8: index dim %d != table dim %d", ix.meta.Dim, ctx.Dim)
-	}
-	if err := ix.loadStats(); err != nil {
-		return nil, err
-	}
-	return ix, ix.loadCentroidCache()
+	return &Index{ix}, nil
 }
 
-// initPages lays out the meta page, stats pages, and centroid pages.
-func (ix *Index) initPages(centroids []float32, nlist int, sq *vec.SQ8) error {
-	ctx := ix.ctx
-	d := ctx.Dim
-	entrySize := d*4 + centroidTrailerSize
-	usable := ctx.Pool.PageSize() - page.HeaderSize
-	perPage := usable / (entrySize + page.ItemIDSize + page.MaxAlign)
-	if perPage == 0 {
-		return fmt.Errorf("pase/ivfsq8: centroid entry of %d bytes does not fit page", entrySize)
-	}
+// data payload layout: the entry's code norm Σ(Step_i·c_i)² as a
+// little-endian float32 (4), then the d code bytes. The stored norm is
+// the code-side term of the decomposed asymmetric distance
+// (vec.SQ8.DecomposeQuery): computing it once at encode time lets plain
+// scans score each candidate with a single uint8 dot product instead of
+// the full subtract-square form. It is derived purely from the code and
+// the trained grid with fixed scalar arithmetic (vec.SQ8.CodeNorm), so it
+// is kernel-independent like the rest of the on-disk layout.
+const normSize = 4
 
-	metaBuf, metaBlk, err := ctx.Pool.NewPage(ctx.Rel)
+// statsChunkSize bounds one stats item: the min/step arrays are split
+// into page-item-sized chunks so any dimensionality fits the page size.
+const statsChunkSize = 4096
+
+type sq8Codec struct {
+	dim int
+	sq  *vec.SQ8
+}
+
+// Train fits the grid to every build row. Assignment never reads it:
+// buckets come from the full-precision vector.
+func (c *sq8Codec) Train(_ map[string]string, rows []float32, n int, _ []float32) error {
+	t := vec.NewSQ8Trainer(c.dim)
+	for i := 0; i < n; i++ {
+		t.Observe(rows[i*c.dim : (i+1)*c.dim])
+	}
+	c.sq = t.Finish()
+	return nil
+}
+
+// Save serializes the grid as one byte stream — d mins then d steps,
+// little-endian float32 — split into stats-page items.
+func (c *sq8Codec) Save() ([]uint32, [][]byte) {
+	raw := make([]byte, 8*c.dim)
+	pase.PutFloat32s(raw, c.sq.Min)
+	pase.PutFloat32s(raw[4*c.dim:], c.sq.Step)
+	var items [][]byte
+	for off := 0; off < len(raw); off += statsChunkSize {
+		items = append(items, raw[off:min(off+statsChunkSize, len(raw))])
+	}
+	return nil, items
+}
+
+func (c *sq8Codec) Load(_ []uint32, read func(int) ([][]byte, error)) error {
+	want := 8 * c.dim
+	items, err := read((want + statsChunkSize - 1) / statsChunkSize)
 	if err != nil {
 		return err
 	}
-	if metaBlk != 0 {
-		metaBuf.Release()
-		return fmt.Errorf("pase/ivfsq8: meta page allocated at block %d", metaBlk)
-	}
-	page.Init(metaBuf.Page(), 0)
-
-	// Stats pages first: the trained grid is serialized as one byte
-	// stream (d mins then d steps, little-endian float32) split into
-	// page items, on a chain starting right after the meta page.
-	statsBlk, err := ix.writeStats(sq)
-	if err != nil {
-		metaBuf.Release()
-		return err
-	}
-	firstCentroidBlk, err := ix.writeCentroids(centroids, nlist, perPage, entrySize)
-	if err != nil {
-		metaBuf.Release()
-		return err
-	}
-
-	ix.meta = meta{
-		Dim:              uint32(d),
-		NList:            uint32(nlist),
-		FirstCentroidBlk: firstCentroidBlk,
-		CentroidsPerPage: uint32(perPage),
-		FirstStatsBlk:    statsBlk,
-	}
-	if _, err := metaBuf.Page().AddItem(encodeMeta(ix.meta)); err != nil {
-		metaBuf.Release()
-		return err
-	}
-	metaBuf.MarkDirty()
-	metaBuf.Release()
-	return ix.loadCentroidCache()
-}
-
-// statsBytes serializes the grid: d mins then d steps.
-func statsBytes(sq *vec.SQ8) []byte {
-	d := sq.Dim()
-	out := make([]byte, 8*d)
-	pase.PutFloat32s(out, sq.Min)
-	pase.PutFloat32s(out[4*d:], sq.Step)
-	return out
-}
-
-// writeStats persists the grid onto a chain of stats pages and returns
-// the first block number.
-func (ix *Index) writeStats(sq *vec.SQ8) (uint32, error) {
-	ctx := ix.ctx
-	raw := statsBytes(sq)
-	first := pase.InvalidBlk
-	var prev *buffer.Buf
-	var prevBlk uint32
-	for off := 0; off < len(raw); {
-		buf, blk, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			if prev != nil {
-				prev.Release()
-			}
-			return 0, err
-		}
-		page.Init(buf.Page(), pase.ChainSpecialSize)
-		pase.SetNextBlk(buf.Page(), pase.InvalidBlk)
-		if first == pase.InvalidBlk {
-			first = blk
-		}
-		if prev != nil {
-			pase.SetNextBlk(prev.Page(), blk)
-			prev.MarkDirty()
-			prev.Release()
-		}
-		for off < len(raw) {
-			end := off + statsChunkSize
-			if end > len(raw) {
-				end = len(raw)
-			}
-			if _, err := buf.Page().AddItem(raw[off:end]); err != nil {
-				if errors.Is(err, page.ErrPageFull) {
-					break
-				}
-				buf.Release()
-				return 0, err
-			}
-			off = end
-		}
-		buf.MarkDirty()
-		prev, prevBlk = buf, blk
-		_ = prevBlk
-	}
-	if prev != nil {
-		prev.Release()
-	}
-	return first, nil
-}
-
-// loadStats reads the persisted grid back from the stats chain.
-func (ix *Index) loadStats() error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	want := 8 * d
-	raw := make([]byte, 0, want)
-	blk := ix.meta.FirstStatsBlk
-	for blk != pase.InvalidBlk && len(raw) < want {
-		buf, err := ctx.Pool.Pin(ctx.Rel, blk)
-		if err != nil {
-			return err
-		}
-		pg := buf.Page()
-		for i := uint16(1); i <= pg.NumItems(); i++ {
-			item, err := pg.Item(i)
-			if err != nil {
-				buf.Release()
-				return err
-			}
-			raw = append(raw, item...)
-		}
-		blk = pase.NextBlk(pg)
-		buf.Release()
+	var raw []byte
+	for _, it := range items {
+		raw = append(raw, it...)
 	}
 	if len(raw) != want {
 		return fmt.Errorf("pase/ivfsq8: stats chain holds %d bytes, want %d", len(raw), want)
 	}
-	mins := make([]float32, d)
-	steps := make([]float32, d)
-	copy(mins, pase.Float32View(raw[:4*d]))
-	copy(steps, pase.Float32View(raw[4*d:]))
-	ix.sq = &vec.SQ8{Min: mins, Step: steps}
+	c.sq = &vec.SQ8{
+		Min:  append([]float32(nil), pase.Float32View(raw[:4*c.dim])...),
+		Step: append([]float32(nil), pase.Float32View(raw[4*c.dim:])...),
+	}
 	return nil
 }
 
-// writeCentroids lays out the centroid pages (ivfflat layout) and
-// returns the first centroid block.
-func (ix *Index) writeCentroids(centroids []float32, nlist, perPage, entrySize int) (uint32, error) {
-	ctx := ix.ctx
-	d := ctx.Dim
-	entry := make([]byte, entrySize)
-	written := 0
-	first := pase.InvalidBlk
-	for written < nlist {
-		buf, blk, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			return 0, err
-		}
-		if first == pase.InvalidBlk {
-			first = blk
-		}
-		page.Init(buf.Page(), 0)
-		for i := 0; i < perPage && written < nlist; i++ {
-			pase.PutFloat32s(entry, centroids[written*d:(written+1)*d])
-			trailer := entry[d*4:]
-			binary.LittleEndian.PutUint32(trailer[0:], pase.InvalidBlk)
-			binary.LittleEndian.PutUint32(trailer[4:], pase.InvalidBlk)
-			binary.LittleEndian.PutUint32(trailer[8:], 0)
-			binary.LittleEndian.PutUint32(trailer[12:], 0)
-			if _, err := buf.Page().AddItem(entry); err != nil {
-				buf.Release()
-				return 0, err
-			}
-			written++
-		}
-		buf.MarkDirty()
-		buf.Release()
-	}
-	return first, nil
+func (c *sq8Codec) EntrySize() int { return normSize + c.dim }
+
+// Encode writes the code on the trained grid (never retrained —
+// out-of-range values clamp to the edge cells, the standard SQ8
+// behaviour for drifting data) after its stored norm.
+func (c *sq8Codec) Encode(dst []byte, x, _ []float32) {
+	code := dst[normSize:]
+	c.sq.Encode(x, code)
+	binary.LittleEndian.PutUint32(dst, math.Float32bits(c.sq.CodeNorm(code)))
 }
 
-// loadCentroidCache reads every centroid vector into memory once.
-func (ix *Index) loadCentroidCache() error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	nlist := int(ix.meta.NList)
-	cache := make([]float32, 0, nlist*d)
-	read := 0
-	blk := ix.meta.FirstCentroidBlk
-	for read < nlist {
-		buf, err := ctx.Pool.Pin(ctx.Rel, blk)
-		if err != nil {
-			return err
-		}
-		pg := buf.Page()
-		n := int(pg.NumItems())
-		for i := 1; i <= n && read < nlist; i++ {
-			item, err := pg.Item(uint16(i))
-			if err != nil {
-				buf.Release()
-				return err
-			}
-			cache = append(cache, pase.Float32View(item[:d*4])...)
-			read++
-		}
-		buf.Release()
-		blk++
-	}
-	ix.centroidCache = cache
-	return nil
+// NewScorer applies the query-side decomposition once per query: the
+// same sequential transform for every path, so a query's w and ‖u‖² are
+// bit-identical whether it runs solo or in a batch.
+func (c *sq8Codec) NewScorer(kern vec.Kernel, query []float32) ivf.Scorer {
+	s := &sq8Scorer{kern: kern, sq: c.sq, query: query, w: make([]float32, len(query))}
+	s.unorm = c.sq.DecomposeQuery(query, s.w)
+	return s
 }
 
-// centroidLoc maps a centroid ID to its page slot.
-func (ix *Index) centroidLoc(cid int) (uint32, uint16) {
-	per := int(ix.meta.CentroidsPerPage)
-	return ix.meta.FirstCentroidBlk + uint32(cid/per), uint16(cid%per) + 1
+type sq8Scorer struct {
+	kern  vec.Kernel
+	sq    *vec.SQ8
+	query []float32
+	w     []float32
+	unorm float32
 }
 
-// refKern pins bucket assignment to the reference kernel: Insert and
-// Delete must re-derive the same bucket for a vector regardless of the
-// session's SET distance_kernel. Assignment runs on the full-precision
-// vector — the same input Build assigned from — never on the code.
-var refKern = vec.Ref()
+func (*sq8Scorer) Bucket([]float32) {}
 
-// nearestCentroid runs the scalar argmin over all centroids.
-func (ix *Index) nearestCentroid(x []float32) int {
-	d := int(ix.meta.Dim)
-	best, bestD := 0, refKern.L2Sqr(x, ix.centroidCache[:d])
-	for c := 1; c < int(ix.meta.NList); c++ {
-		if dd := refKern.L2Sqr(x, ix.centroidCache[c*d:(c+1)*d]); dd < bestD {
-			best, bestD = c, dd
-		}
+// Score scores one whole page per kernel call in the decomposed form:
+// dist_i = ‖u‖² − 2·(w·c_i) + norm_i, with each entry's code norm read
+// off the page where Encode stored it. The per-candidate kernel work is
+// then a bare uint8 dot product — roughly a third of the direct
+// subtract-square form. The reassembled distance rounds differently from
+// the direct form ScoreOne uses, which only moves candidates at the k·β
+// selection boundary; the full-precision re-rank makes the returned
+// distances exact either way.
+func (s *sq8Scorer) Score(r *ivf.Run, out []float32) {
+	s.kern.DotSQ8Batch(s.w, r.Suffixes(normSize), out)
+	for i, p := range r.Payloads {
+		norm := math.Float32frombits(binary.LittleEndian.Uint32(p))
+		out[i] = s.unorm - 2*out[i] + norm
 	}
-	return best
 }
 
-// appendEntry adds (code, tid) to bucket cid's data-page chain.
-func (ix *Index) appendEntry(cid int, code []byte, tid heap.TID) error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	blk, off := ix.centroidLoc(cid)
-
-	cbuf, err := ctx.Pool.Pin(ctx.Rel, blk)
-	if err != nil {
-		return err
-	}
-	centry, err := cbuf.Page().Item(off)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	trailer := centry[d*4:]
-	lastBlk := binary.LittleEndian.Uint32(trailer[4:])
-
-	entry := make([]byte, dataEntryCodeOff+d)
-	tid.Pack(entry)
-	binary.LittleEndian.PutUint32(entry[dataEntryHeaderSize:], math.Float32bits(ix.sq.CodeNorm(code)))
-	copy(entry[dataEntryCodeOff:], code)
-
-	if lastBlk != pase.InvalidBlk {
-		dbuf, err := ctx.Pool.Pin(ctx.Rel, lastBlk)
-		if err != nil {
-			cbuf.Release()
-			return err
-		}
-		if _, err := dbuf.Page().AddItem(entry); err == nil {
-			dbuf.MarkDirty()
-			dbuf.Release()
-			ix.bumpCount(cbuf, trailer)
-			cbuf.Release()
-			return nil
-		} else if !errors.Is(err, page.ErrPageFull) {
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		nbuf, nblk, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		page.Init(nbuf.Page(), pase.ChainSpecialSize)
-		pase.SetNextBlk(nbuf.Page(), pase.InvalidBlk)
-		if _, err := nbuf.Page().AddItem(entry); err != nil {
-			nbuf.Release()
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		nbuf.MarkDirty()
-		nbuf.Release()
-		pase.SetNextBlk(dbuf.Page(), nblk)
-		dbuf.MarkDirty()
-		dbuf.Release()
-		binary.LittleEndian.PutUint32(trailer[4:], nblk)
-		ix.bumpCount(cbuf, trailer)
-		cbuf.Release()
-		return nil
-	}
-
-	nbuf, nblk, err := ctx.Pool.NewPage(ctx.Rel)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	page.Init(nbuf.Page(), pase.ChainSpecialSize)
-	pase.SetNextBlk(nbuf.Page(), pase.InvalidBlk)
-	if _, err := nbuf.Page().AddItem(entry); err != nil {
-		nbuf.Release()
-		cbuf.Release()
-		return err
-	}
-	nbuf.MarkDirty()
-	nbuf.Release()
-	binary.LittleEndian.PutUint32(trailer[0:], nblk)
-	binary.LittleEndian.PutUint32(trailer[4:], nblk)
-	ix.bumpCount(cbuf, trailer)
-	cbuf.Release()
-	return nil
-}
-
-// bumpCount increments the bucket population stored in the centroid entry.
-func (ix *Index) bumpCount(cbuf *buffer.Buf, trailer []byte) {
-	binary.LittleEndian.PutUint32(trailer[8:], binary.LittleEndian.Uint32(trailer[8:])+1)
-	cbuf.MarkDirty()
-}
-
-// Insert implements am.Index: the vector is encoded on the trained grid
-// (the grid is never retrained — out-of-range values clamp to the edge
-// cells, the standard SQ8 behaviour for drifting data).
-func (ix *Index) Insert(v []float32, tid heap.TID) error {
-	if len(v) != int(ix.meta.Dim) {
-		return fmt.Errorf("pase/ivfsq8: inserting %d-dim vector into %d-dim index", len(v), ix.meta.Dim)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	cid := ix.nearestCentroid(v)
-	code := make([]byte, ix.meta.Dim)
-	ix.sq.Encode(v, code)
-	if err := ix.appendEntry(cid, code, tid); err != nil {
-		return err
-	}
-	ix.stats.NAdded++
-	return nil
-}
-
-// SizeBytes reports the index relation's page footprint.
-func (ix *Index) SizeBytes() (int64, error) {
-	nblocks, err := ix.ctx.Pool.NumBlocks(ix.ctx.Rel)
-	if err != nil {
-		return 0, err
-	}
-	return int64(nblocks) * int64(ix.ctx.Pool.PageSize()), nil
+// ScoreOne is the direct asymmetric distance, used on predicate paths.
+func (s *sq8Scorer) ScoreOne(payload []byte) float32 {
+	return s.kern.L2SqrSQ8(s.query, payload[normSize:], s.sq)
 }

@@ -58,7 +58,7 @@ var knownSettings = []Setting{
 	{"efs", "200", "hnsw: search queue length"},
 	{FilterOverfetchSetting, "4", "filtered kNN: post-filter over-fetch multiplier (k' = k*alpha)"},
 	{FilterStrategySetting, "auto", "filtered kNN strategy: auto, pre, post, or intraversal"},
-	{"heap", "n", "ivfflat: top-k heap policy, n (PASE size-n, RC#6) or k (size-k)"},
+	{"heap", "n", "ivfflat, ivfpq: top-k heap policy, n (PASE size-n, RC#6) or k (size-k)"},
 	{"nprobe", "20", "ivf: clusters probed per query"},
 	{SQ8RerankSetting, "4", "ivfsq8: re-rank multiplier beta (k*beta quantized candidates re-ranked at full precision)"},
 	{"threads", "1", "intra-query scan parallelism"},
