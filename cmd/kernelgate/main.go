@@ -1,7 +1,9 @@
 // Command kernelgate is the CI microbench gate for the distance-kernel
 // layer: it re-times the BenchmarkKernel* shapes in-process with
-// testing.Benchmark and fails if the default kernel's speedup over the
-// ref kernel has regressed against the checked-in baseline.
+// testing.Benchmark — each (shape, kernel) as the minimum of several
+// rounds in which ref and the candidates alternate — and fails if the
+// default kernel's speedup over the ref kernel has regressed against the
+// checked-in baseline.
 //
 // The baseline stores RATIOS (ref ns/op divided by default ns/op per
 // shape), not absolute times: absolute ns/op differ across CI hosts,
@@ -63,6 +65,7 @@ func shapes() []shape {
 			run: func(k vec.Kernel, b *testing.B) {
 				x, y := randVecs(1, d), randVecs(1, d)
 				var sink float32
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sink += k.L2Sqr(x, y)
 				}
@@ -80,6 +83,7 @@ func shapes() []shape {
 				}
 				q := randVecs(1, d)
 				dst := make([]float32, n)
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					k.L2SqrBatch(q, rows, dst)
 				}
@@ -92,6 +96,7 @@ func shapes() []shape {
 			const m, n, d = 256, 8, 128
 			a, c := randVecs(m, d), randVecs(n, d)
 			dst := make([]float32, m*n)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.L2SqrNT(a, m, d, c, n, dst)
 			}
@@ -111,6 +116,7 @@ func shapes() []shape {
 			sq.Encode(rows[:d], code)
 			q := randVecs(1, d)
 			var sink float32
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sink += k.L2SqrSQ8(q, code, sq)
 			}
@@ -134,6 +140,7 @@ func shapes() []shape {
 			}
 			q := randVecs(1, d)
 			dst := make([]float32, n)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.L2SqrSQ8Batch(q, codes, sq, dst)
 			}
@@ -151,6 +158,7 @@ func shapes() []shape {
 				rng.Read(codes[i])
 			}
 			dst := make([]float32, n)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.DotSQ8Batch(w, codes, dst)
 			}
@@ -159,18 +167,42 @@ func shapes() []shape {
 	return out
 }
 
-// measure times one shape for one kernel and returns the best ns/op of
-// three repetitions — the minimum is the noise-robust estimator for a
-// deterministic hot loop (interference only ever slows a rep down).
-func measure(s shape, k vec.Kernel) float64 {
-	best := 0.0
-	for rep := 0; rep < 3; rep++ {
-		res := testing.Benchmark(func(b *testing.B) { s.run(k, b) })
-		// Fractional ns/op: NsPerOp truncates to integer nanoseconds,
-		// which alone is a 8% quantization error on a 12 ns kernel.
-		ns := float64(res.T.Nanoseconds()) / float64(res.N)
-		if rep == 0 || ns < best {
-			best = ns
+// trials is how many times each (shape, kernel) is timed, for
+// trialTime each; the gate keeps the minimum, the noise-robust
+// estimator for a deterministic hot loop (interference only ever slows
+// a trial down). Many short trials ride out a burst of host load that
+// one long trial would absorb.
+const (
+	trials    = 20
+	trialTime = "100ms"
+)
+
+// measure returns best[shape][kernel], the best ns/op of each kernel on
+// each shape over trials rounds. Every round times every shape on every
+// kernel, ref and the candidates back to back in alternating order, so
+// a shape's trials are spread over the whole run and a burst of host
+// load lands on both sides of a ratio instead of on one.
+func measure(ss []shape, ks []vec.Kernel) [][]float64 {
+	best := make([][]float64, len(ss))
+	for i := range best {
+		best[i] = make([]float64, len(ks))
+	}
+	for t := 0; t < trials; t++ {
+		for si, s := range ss {
+			for j := range ks {
+				ki := j
+				if t%2 == 1 {
+					ki = len(ks) - 1 - j
+				}
+				k := ks[ki]
+				res := testing.Benchmark(func(b *testing.B) { s.run(k, b) })
+				// Fractional ns/op: NsPerOp truncates to integer nanoseconds,
+				// which alone is a 8% quantization error on a 12 ns kernel.
+				ns := float64(res.T.Nanoseconds()) / float64(res.N)
+				if t == 0 || ns < best[si][ki] {
+					best[si][ki] = ns
+				}
+			}
 		}
 	}
 	return best
@@ -185,29 +217,42 @@ func main() {
 	// any plausible noise band.
 	margin := flag.Float64("margin", 0.25, "allowed fractional regression below the baseline ratio")
 	flag.Parse()
+	// testing.Benchmark runs each trial for -test.benchtime; register
+	// the testing flags after parsing ours so they stay off the command
+	// line, then set the trial length.
+	testing.Init()
+	if err := flag.Set("test.benchtime", trialTime); err != nil {
+		fatal(err)
+	}
 
 	ref := vec.Ref()
 	fmt.Printf("kernelgate: registered kernels: %v (default %s)\n",
 		vec.RegisteredKernelNames(), vec.Default().Name())
 
 	// Every registered accelerated kernel is gated against ref measured
-	// in the same run; keys are "<kernel>/<shape>".
+	// in the same rounds; keys are "<kernel>/<shape>".
+	ks := []vec.Kernel{ref}
+	for _, name := range vec.RegisteredKernelNames() {
+		if name == ref.Name() {
+			continue
+		}
+		k, err := vec.ForName(name)
+		if err != nil {
+			fatal(err)
+		}
+		ks = append(ks, k)
+	}
+	ss := shapes()
+	best := measure(ss, ks)
 	ratios := map[string]float64{}
-	for _, s := range shapes() {
-		refNs := measure(s, ref)
-		for _, name := range vec.RegisteredKernelNames() {
-			if name == ref.Name() {
-				continue
-			}
-			k, err := vec.ForName(name)
-			if err != nil {
-				fatal(err)
-			}
-			kNs := measure(s, k)
-			r := refNs / kNs
+	for si, s := range ss {
+		ns := best[si]
+		for i, k := range ks[1:] {
+			name := k.Name()
+			r := ns[0] / ns[i+1]
 			ratios[name+"/"+s.name] = r
 			fmt.Printf("  %-28s ref %10.1f ns/op   %-8s %10.1f ns/op   ratio %.2fx\n",
-				name+"/"+s.name, refNs, name, kNs, r)
+				name+"/"+s.name, ns[0], name, ns[i+1], r)
 		}
 	}
 

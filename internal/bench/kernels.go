@@ -22,7 +22,7 @@ func init() {
 
 // runKernels builds one ivfflat index and replays the identical kNN
 // workload once per session kernel — ref (the PASE-style scalar
-// baseline), unrolled (generic Go, the default), and avx2 where the
+// baseline), unrolled (the default; SSE2 assembly on amd64), and avx2 where the
 // host registers it. The only variable across rows is SET
 // distance_kernel, so the speedup column is the end-to-end realization
 // of the microbench ratios cmd/kernelgate gates: how much of the

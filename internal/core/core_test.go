@@ -82,9 +82,40 @@ func TestCompareBothHNSWSizeBlowup(t *testing.T) {
 	ds := testutil.SmallDataset(t)
 	p := Defaults(ds)
 	p.K = 10
-	cmp, err := CompareBoth(HNSW, ds, p)
+	// Each engine is built once (several seconds per HNSW build); the
+	// search check compares the fastest of timingRuns passes per side,
+	// alternating sides, as compareMinOf does for whole runs.
+	spec, sb, err := BuildSpecialized(HNSW, ds, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer spec.Close()
+	gen, gb, err := BuildGeneralized(HNSW, ds, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gen.Close()
+	cmp := Comparison{Dataset: ds.Name, Kind: HNSW, Specialized: sb, Generalized: gb}
+	for _, ix := range []Index{spec, gen} {
+		if err := WarmUp(ix, ds, p.K, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < timingRuns; i++ {
+		s, err := RunSearch(spec, ds, p.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := RunSearch(gen, ds, p.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || s.Total < cmp.SpecSearch.Total {
+			cmp.SpecSearch = s
+		}
+		if i == 0 || g.Total < cmp.GenSearch.Total {
+			cmp.GenSearch = g
+		}
 	}
 	if cmp.SizeGapX() < 2 {
 		t.Errorf("HNSW size gap %.2fx, paper reports 2.9–13.3× (Fig 13)", cmp.SizeGapX())

@@ -27,8 +27,8 @@ const BufferPartitionsSetting = "buffer_partitions"
 const VacuumThresholdSetting = "vacuum_threshold"
 
 // DistanceKernelSetting selects the distance kernel search paths score
-// candidates with: ref (bit-exact scalar baseline), unrolled
-// (cache-blocked generic Go, the default), or avx2 (assembly, amd64
+// candidates with: ref (bit-exact scalar baseline), unrolled (the
+// default; SSE2 assembly on amd64, Go elsewhere), or avx2 (assembly, amd64
 // hosts with the ISA; silently falls back to the default elsewhere).
 // Build, insert, and delete arithmetic is pinned to ref regardless —
 // bucket assignment and graph wiring must not depend on a session knob.

@@ -87,26 +87,35 @@ func (l *lexer) skipSpace() {
 	}
 }
 
+// lexString scans a single-quoted literal, in which two quotes in a row
+// stand for one. The token's text is a substring of the source unless
+// the literal holds such an escape; only then is a copy built.
 func (l *lexer) lexString() error {
 	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'') // escaped quote
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+	l.pos++               // opening quote
+	var b strings.Builder // written only once an escape is seen
+	for {
+		i := strings.IndexByte(l.src[l.pos:], '\'')
+		if i < 0 {
+			l.pos = len(l.src)
+			return fmt.Errorf("sql: unterminated string starting at %d", start)
 		}
-		b.WriteByte(c)
-		l.pos++
+		seg := l.src[l.pos : l.pos+i]
+		l.pos += i + 1
+		if l.pos < len(l.src) && l.src[l.pos] == '\'' { // escaped quote
+			b.WriteString(seg)
+			b.WriteByte('\'')
+			l.pos++
+			continue
+		}
+		text := seg
+		if b.Len() > 0 {
+			b.WriteString(seg)
+			text = b.String()
+		}
+		l.toks = append(l.toks, token{kind: tokString, text: text, pos: start})
+		return nil
 	}
-	return fmt.Errorf("sql: unterminated string starting at %d", start)
 }
 
 func (l *lexer) lexNumber() {

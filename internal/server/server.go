@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"vecstudy/internal/batch"
 	"vecstudy/internal/pg/db"
@@ -388,8 +389,7 @@ const ServerStatsQuery = "server_stats"
 
 // utilityQuery intercepts SHOW server_stats.
 func (s *Server) utilityQuery(text string) (*sql.Result, bool) {
-	fields := strings.Fields(strings.ToLower(strings.TrimSuffix(strings.TrimSpace(text), ";")))
-	if len(fields) != 2 || fields[0] != "show" || fields[1] != ServerStatsQuery {
+	if !isServerStatsQuery(text) {
 		return nil, false
 	}
 	st := s.Stats()
@@ -411,6 +411,37 @@ func (s *Server) utilityQuery(text string) (*sql.Result, bool) {
 		res.Rows = append(res.Rows, sr.StatsRows()...)
 	}
 	return res, true
+}
+
+// isServerStatsQuery reports whether text is SHOW server_stats: the two
+// words in any letter case, separated and surrounded by whitespace,
+// with at most one trailing ';'. It runs on every statement, so it
+// matches in place instead of lower-casing and splitting the text (a
+// bulk INSERT is hundreds of kilobytes).
+func isServerStatsQuery(text string) bool {
+	text = strings.TrimSuffix(strings.TrimSpace(text), ";")
+	i := strings.IndexFunc(text, unicode.IsSpace)
+	return i >= 0 && equalFoldASCII(text[:i], "show") &&
+		equalFoldASCII(strings.TrimSpace(text[i:]), ServerStatsQuery)
+}
+
+// equalFoldASCII reports whether s is the lower-case ASCII word w in
+// any letter case. Only ASCII letters fold: no other rune lower-cases
+// to a letter of "show" or "server_stats".
+func equalFoldASCII(s, w string) bool {
+	if len(s) != len(w) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != w[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Shutdown drains the server: stop accepting, reject queued arrivals,

@@ -437,3 +437,48 @@ func TestBatchedServingEndToEnd(t *testing.T) {
 		t.Error("baseline client's window=0 queries were not counted solo")
 	}
 }
+
+// TestIsServerStatsQuery pins the texts the server answers itself: the
+// forms the former lower-case-and-split match accepted, and no others.
+func TestIsServerStatsQuery(t *testing.T) {
+	for _, tc := range []struct {
+		text string
+		want bool
+	}{
+		{"SHOW server_stats", true},
+		{"show server_stats;", true},
+		{"Show SERVER_STATS", true},
+		{"  SHOW \t server_stats ;  \n", true},
+		{"SHOW\nserver_stats", true},
+		{"SHOW\u00a0server_stats", true}, // Unicode space separates too
+		{" SHOW server_stats; ", true},
+		{"", false},
+		{";", false},
+		{"SHOW", false},
+		{"SHOW;", false},
+		{"server_stats", false},
+		{"SHOWserver_stats", false},
+		{"SHOW server_stats;;", false},
+		{"SHOW server_stats extra", false},
+		{"SHOW server_stats; SHOW server_stats", false},
+		{"; SHOW server_stats", false},
+		{"SHOW server_stat", false},
+		{"SHOW server_statsx", false},
+		{"SHOW ALL", false},
+		{"SELECT server_stats", false},
+		{"SHOW \"server_stats\"", false},
+		{"\u017fhow server_stats", false}, // ſ case-folds to s but does not lower-case to it
+	} {
+		if got := isServerStatsQuery(tc.text); got != tc.want {
+			t.Errorf("isServerStatsQuery(%q) = %v, want %v", tc.text, got, tc.want)
+		}
+		fields := strings.Fields(strings.ToLower(strings.TrimSuffix(strings.TrimSpace(tc.text), ";")))
+		former := len(fields) == 2 && fields[0] == "show" && fields[1] == ServerStatsQuery
+		if former != tc.want {
+			t.Errorf("%q: former match %v, table says %v", tc.text, former, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { isServerStatsQuery("  show SERVER_STATS ;") }); n != 0 {
+		t.Errorf("isServerStatsQuery allocates %v times per call", n)
+	}
+}

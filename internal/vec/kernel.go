@@ -10,8 +10,11 @@
 //     (blas.L2SqrNT/L2SqrNTRows) are proven bit-equal to that chain per
 //     pair. It is the parity oracle for tests and the fixed kernel for
 //     paths that must be session-independent (bucket assignment).
-//   - "unrolled": cache-blocked 8-way unrolled generic Go, the default.
-//     Eight independent accumulator chains hide FP add latency.
+//   - "unrolled": the default. Eight independent accumulator chains per
+//     pair hide FP add latency. On amd64 the chains run as the lanes of
+//     two SSE2 registers (kernel_unrolled_amd64.s, no CPUID probe: SSE2
+//     is the amd64 baseline); elsewhere the Go bodies in this file run.
+//     Both give the same bits.
 //   - "avx2": Go assembly under an amd64 build tag with a runtime CPUID
 //     feature check (see kernel_avx2_amd64.go); on other platforms or
 //     older CPUs the name resolves to the default kernel.
@@ -266,20 +269,111 @@ func (refKernel) DotSQ8Batch(w []float32, codes [][]byte, out []float32) {
 	}
 }
 
-// unrolledKernel is the default generic-Go kernel: 8-way unrolled with
-// eight independent accumulator chains, reduced pairwise at the end.
-// Its batched forms call the solo form per pair inside an 8-row cache
-// block (each B row stays hot across the block), which makes solo/batch
-// bit-parity true by construction.
+// unrolledKernel is the default kernel: eight independent accumulator
+// chains per pair (four for the SQ8 forms), reduced pairwise at the
+// end. On amd64 every method runs an SSE2 assembly body whose vector
+// lanes are exactly those chains (kernel_unrolled_amd64.s); elsewhere
+// the Go bodies below run. Both compute the same bits. L2SqrBatch, the
+// NT forms and DotSQ8Batch score four rows or codes against one shared
+// row per call, and each pair still runs its own chains, so solo/batch
+// bit-parity holds by construction.
 type unrolledKernel struct{}
 
 // Name implements Kernel.
 func (unrolledKernel) Name() string { return "unrolled" }
 
-// L2Sqr implements Kernel. The fixed-length subslices inside the loop
-// let the compiler prove every index in bounds, so the body is pure
-// subtract/multiply/add with eight independent chains.
-func (unrolledKernel) L2Sqr(x, y []float32) float32 {
+// L2Sqr implements Kernel.
+func (unrolledKernel) L2Sqr(x, y []float32) float32 { return l2sqrUnrolled(x, y) }
+
+// L2SqrBatch implements Kernel. The four-row form computes
+// L2Sqr(rows[i], q), which is bitwise L2Sqr(q, rows[i]) by sign
+// symmetry.
+func (unrolledKernel) L2SqrBatch(q []float32, rows [][]float32, out []float32) {
+	n := len(q)
+	out = out[:len(rows)]
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = l2sqrUnrolled4(q,
+			rows[i][:n], rows[i+1][:n], rows[i+2][:n], rows[i+3][:n])
+	}
+	for ; i < len(rows); i++ {
+		out[i] = l2sqrUnrolled(q, rows[i])
+	}
+}
+
+// L2SqrNT implements Kernel.
+func (unrolledKernel) L2SqrNT(a []float32, m, kk int, b []float32, n int, c []float32) {
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0, a1, a2, a3 := a[i*kk:(i+1)*kk], a[(i+1)*kk:(i+2)*kk], a[(i+2)*kk:(i+3)*kk], a[(i+3)*kk:(i+4)*kk]
+		for j := 0; j < n; j++ {
+			c[i*n+j], c[(i+1)*n+j], c[(i+2)*n+j], c[(i+3)*n+j] = l2sqrUnrolled4(b[j*kk:(j+1)*kk], a0, a1, a2, a3)
+		}
+	}
+	for ; i < m; i++ {
+		for j := 0; j < n; j++ {
+			c[i*n+j] = l2sqrUnrolled(a[i*kk:(i+1)*kk], b[j*kk:(j+1)*kk])
+		}
+	}
+}
+
+// L2SqrNTRows implements Kernel.
+func (unrolledKernel) L2SqrNTRows(rows [][]float32, kk int, b []float32, n int, c []float32) {
+	m := len(rows)
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		r0, r1, r2, r3 := rows[i][:kk], rows[i+1][:kk], rows[i+2][:kk], rows[i+3][:kk]
+		for j := 0; j < n; j++ {
+			c[i*n+j], c[(i+1)*n+j], c[(i+2)*n+j], c[(i+3)*n+j] = l2sqrUnrolled4(b[j*kk:(j+1)*kk], r0, r1, r2, r3)
+		}
+	}
+	for ; i < m; i++ {
+		for j := 0; j < n; j++ {
+			c[i*n+j] = l2sqrUnrolled(rows[i][:kk], b[j*kk:(j+1)*kk])
+		}
+	}
+}
+
+// L2SqrSQ8 implements Kernel.
+func (unrolledKernel) L2SqrSQ8(q []float32, code []byte, sq *SQ8) float32 {
+	return l2sqrSQ8Unrolled(q, code, sq.Min, sq.Step)
+}
+
+// L2SqrSQ8Batch implements Kernel.
+func (unrolledKernel) L2SqrSQ8Batch(q []float32, codes [][]byte, sq *SQ8, out []float32) {
+	for i, c := range codes {
+		out[i] = l2sqrSQ8Unrolled(q, c, sq.Min, sq.Step)
+	}
+}
+
+// DotSQ8Batch implements Kernel. Each code runs its own four chains,
+// whether it lands in a four-code block or in the remainder, so out[i]
+// is a pure function of (w, codes[i]).
+func (unrolledKernel) DotSQ8Batch(w []float32, codes [][]byte, out []float32) {
+	n := len(w)
+	out = out[:len(codes)]
+	i := 0
+	for ; i+4 <= len(codes); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = dotSQ8Unrolled4(w,
+			codes[i][:n], codes[i+1][:n], codes[i+2][:n], codes[i+3][:n])
+	}
+	for ; i < len(codes); i++ {
+		out[i] = dotSQ8Unrolled(w, codes[i])
+	}
+}
+
+// The Go bodies below define the unrolled kernel's arithmetic. They run
+// on every platform without an assembly body and are the oracle the
+// amd64 assembly is tested against bit for bit. Each product is
+// converted to float32 explicitly: the conversion forbids the compiler
+// from fusing the multiply into the following add (Go may emit FMA when
+// GOAMD64 ≥ v3), so every step rounds exactly as the SSE2 lanes do.
+
+// l2sqrUnrolledGo returns ‖x−y‖² over len(x) elements with eight chains:
+// s_j sums (x_i−y_i)² over i ≡ j (mod 8), the ragged tail goes into s0,
+// and the chains reduce as ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)). The
+// fixed-length subslices let the compiler prove every index in bounds.
+func l2sqrUnrolledGo(x, y []float32) float32 {
 	n := len(x)
 	y = y[:n]
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
@@ -291,70 +385,35 @@ func (unrolledKernel) L2Sqr(x, y []float32) float32 {
 		d1 := xx[1] - yy[1]
 		d2 := xx[2] - yy[2]
 		d3 := xx[3] - yy[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
 		d4 := xx[4] - yy[4]
 		d5 := xx[5] - yy[5]
 		d6 := xx[6] - yy[6]
 		d7 := xx[7] - yy[7]
-		s4 += d4 * d4
-		s5 += d5 * d5
-		s6 += d6 * d6
-		s7 += d7 * d7
+		s4 += float32(d4 * d4)
+		s5 += float32(d5 * d5)
+		s6 += float32(d6 * d6)
+		s7 += float32(d7 * d7)
 	}
 	for ; i < n; i++ {
 		d := x[i] - y[i]
-		s0 += d * d
+		s0 += float32(d * d)
 	}
 	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 }
 
-// L2SqrBatch implements Kernel.
-func (k unrolledKernel) L2SqrBatch(q []float32, rows [][]float32, out []float32) {
-	for i, r := range rows {
-		out[i] = k.L2Sqr(q, r)
-	}
-}
-
-// L2SqrNT implements Kernel.
-func (k unrolledKernel) L2SqrNT(a []float32, m, kk int, b []float32, n int, c []float32) {
-	for i0 := 0; i0 < m; i0 += 8 {
-		i1 := min(i0+8, m)
-		for j := 0; j < n; j++ {
-			brow := b[j*kk : (j+1)*kk]
-			for i := i0; i < i1; i++ {
-				c[i*n+j] = k.L2Sqr(a[i*kk:(i+1)*kk], brow)
-			}
-		}
-	}
-}
-
-// L2SqrNTRows implements Kernel.
-func (k unrolledKernel) L2SqrNTRows(rows [][]float32, kk int, b []float32, n int, c []float32) {
-	m := len(rows)
-	for i0 := 0; i0 < m; i0 += 8 {
-		i1 := min(i0+8, m)
-		for j := 0; j < n; j++ {
-			brow := b[j*kk : (j+1)*kk]
-			for i := i0; i < i1; i++ {
-				c[i*n+j] = k.L2Sqr(rows[i][:kk], brow)
-			}
-		}
-	}
-}
-
-// L2SqrSQ8 implements Kernel: the 4-chain unrolled asymmetric distance.
-// The hoisted reslices and fixed-length subslices let the compiler prove
-// every index of all four arrays in bounds, which matters more here than
-// in L2Sqr — the body reads four streams per element, so un-eliminated
-// checks dominate the decode arithmetic.
-func (unrolledKernel) L2SqrSQ8(q []float32, code []byte, sq *SQ8) float32 {
+// l2sqrSQ8UnrolledGo returns Σ (q_i − (mn_i + st_i·c_i))² over len(q)
+// elements with four chains (i ≡ j mod 4, tail into s0), reduced as
+// (s0+s1)+(s2+s3). The hoisted reslices and fixed-length subslices
+// prove every index of all four arrays in bounds.
+func l2sqrSQ8UnrolledGo(q []float32, code []byte, mn, st []float32) float32 {
 	n := len(q)
 	code = code[:n]
-	mn := sq.Min[:n]
-	st := sq.Step[:n]
+	mn = mn[:n]
+	st = st[:n]
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -362,49 +421,39 @@ func (unrolledKernel) L2SqrSQ8(q []float32, code []byte, sq *SQ8) float32 {
 		cc := code[i : i+4 : i+4]
 		mm := mn[i : i+4 : i+4]
 		ss := st[i : i+4 : i+4]
-		d0 := qq[0] - (mm[0] + ss[0]*float32(cc[0]))
-		d1 := qq[1] - (mm[1] + ss[1]*float32(cc[1]))
-		d2 := qq[2] - (mm[2] + ss[2]*float32(cc[2]))
-		d3 := qq[3] - (mm[3] + ss[3]*float32(cc[3]))
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		d0 := qq[0] - (mm[0] + float32(ss[0]*float32(cc[0])))
+		d1 := qq[1] - (mm[1] + float32(ss[1]*float32(cc[1])))
+		d2 := qq[2] - (mm[2] + float32(ss[2]*float32(cc[2])))
+		d3 := qq[3] - (mm[3] + float32(ss[3]*float32(cc[3])))
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
 	}
 	for ; i < n; i++ {
-		d := q[i] - (mn[i] + st[i]*float32(code[i]))
-		s0 += d * d
+		d := q[i] - (mn[i] + float32(st[i]*float32(code[i])))
+		s0 += float32(d * d)
 	}
 	return (s0 + s1) + (s2 + s3)
 }
 
-// L2SqrSQ8Batch implements Kernel.
-func (k unrolledKernel) L2SqrSQ8Batch(q []float32, codes [][]byte, sq *SQ8, out []float32) {
-	for i, c := range codes {
-		out[i] = k.L2SqrSQ8(q, c, sq)
-	}
-}
-
-// DotSQ8Batch implements Kernel: the 4-chain unrolled dot product, with
-// the same subslice discipline as L2SqrSQ8 — two streams per element
-// here, so eliminated bounds checks are most of the win.
-func (unrolledKernel) DotSQ8Batch(w []float32, codes [][]byte, out []float32) {
+// dotSQ8UnrolledGo returns Σ w_i·float32(c_i) over len(w) elements with
+// four chains (i ≡ j mod 4, tail into s0), reduced as (s0+s1)+(s2+s3).
+func dotSQ8UnrolledGo(w []float32, code []byte) float32 {
 	n := len(w)
-	for ci, code := range codes {
-		code = code[:n]
-		var s0, s1, s2, s3 float32
-		i := 0
-		for ; i+4 <= n; i += 4 {
-			ww := w[i : i+4 : i+4]
-			cc := code[i : i+4 : i+4]
-			s0 += ww[0] * float32(cc[0])
-			s1 += ww[1] * float32(cc[1])
-			s2 += ww[2] * float32(cc[2])
-			s3 += ww[3] * float32(cc[3])
-		}
-		for ; i < n; i++ {
-			s0 += w[i] * float32(code[i])
-		}
-		out[ci] = (s0 + s1) + (s2 + s3)
+	code = code[:n]
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		ww := w[i : i+4 : i+4]
+		cc := code[i : i+4 : i+4]
+		s0 += float32(ww[0] * float32(cc[0]))
+		s1 += float32(ww[1] * float32(cc[1]))
+		s2 += float32(ww[2] * float32(cc[2]))
+		s3 += float32(ww[3] * float32(cc[3]))
 	}
+	for ; i < n; i++ {
+		s0 += float32(w[i] * float32(code[i]))
+	}
+	return (s0 + s1) + (s2 + s3)
 }

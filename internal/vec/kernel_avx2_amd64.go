@@ -76,8 +76,7 @@ func init() {
 
 // avx2Kernel dispatches the assembly body with a sequential scalar
 // tail. Batched forms reuse the solo form inside 8-row cache blocks,
-// exactly like unrolledKernel, so solo/batch bit-parity holds by
-// construction.
+// so solo/batch bit-parity holds by construction.
 type avx2Kernel struct{}
 
 // Name implements Kernel.
